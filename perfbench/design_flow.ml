@@ -156,9 +156,6 @@ let flow_op ~cls ~optimizer ~checker ~router ~coupling ~mutate st c =
             end
           end;
           let respects = Router.respects routed.Router.routed coupling in
-          (* Kept as text until the deferred check, so results do not
-             pile up as circuit values across the run. *)
-          let result_qasm = Qasm.to_string result in
           fun () ->
             R.all
               [
@@ -167,7 +164,7 @@ let flow_op ~cls ~optimizer ~checker ~router ~coupling ~mutate st c =
                   if verdict = expected then Ok ()
                   else R.fail "verdict %s, expected %s" (verdict_name verdict) (verdict_name expected));
                 (fun () ->
-                  if R.dense_equivalent original (Qasm.of_string result_qasm) then Ok ()
+                  if R.dense_equivalent original result then Ok ()
                   else R.fail "compiled circuit differs from the original (dense comparison)");
               ]);
   }
@@ -251,7 +248,8 @@ let slots =
 
 let workload : unit Inproc.workload =
   {
-    Inproc.create = (fun () -> ());
+    Inproc.name = "design-flow";
+    create = (fun () -> ());
     close = (fun () -> ());
     gen_pass =
       (fun ~seed ~pass ->

@@ -3,9 +3,13 @@
    A run is a number of whole passes.  Pass [p] is generated from the
    workload seed and [p] before it is timed, so no circuit repeats within
    a run while every pass has the same make-up.  An operation's [run]
-   does the timed work and returns [finish]; [finish] (untimed) reduces
-   the raw result to what its check needs and returns the deferred
-   check, which runs only after the peak RSS is read. *)
+   does the timed work and returns [finish]; [finish] (untimed) records
+   the per-layer counters, reduces the raw result to what its check needs
+   and returns the check.  The checks of a pass run in a forked child
+   ([check_pass]): their reference computations never touch this
+   process's memory, and nothing of a pass outlives it, so the peak RSS
+   read at the end is the engines' own and does not grow with the number
+   of passes. *)
 
 type 'ctx op = {
   cls : string;  (** job class: family, size band and backend *)
@@ -15,6 +19,7 @@ type 'ctx op = {
 }
 
 type 'ctx workload = {
+  name : string;  (** the workload name, as [main.exe --setup] takes it *)
   create : unit -> 'ctx;  (** open sessions *)
   close : 'ctx -> unit;
   gen_pass : seed:int -> pass:int -> 'ctx op array;
@@ -31,27 +36,23 @@ type outcome = {
   traced_pass_rates : float array;  (** ops/s of each traced pass *)
   cpu_s : float;  (** process CPU time over the untraced passes *)
   peak_rss_mb : float;
-  class_ms : (string * float array) list;  (** per-class latencies, untraced *)
   repeat_share : float;  (** share of operations whose circuit text repeats an earlier one *)
 }
 
-(* Set-up is timed once before the first pass and again after every
-   [setup_every]-th pass (a throwaway context, outside the timed passes).
-   Spreading the rounds over the run keeps a burst of host contention
-   from setting the median. *)
-let setup_every = 4
-let verbose = ref false
-let log fmt = Printf.ksprintf (fun s -> if !verbose then prerr_endline s) fmt
+(* ------------------------------------------------------------------ *)
+(* Set-up                                                              *)
+(* ------------------------------------------------------------------ *)
 
 (* One set-up: open the sessions, then one warm-up operation per distinct
-   (backend, job kind).  Returns the context and its duration. *)
+   (backend, job kind). *)
 let setup w warmups =
-  let t0 = Measure.now_ns () in
   let ctx = w.create () in
   List.iter (fun op -> ignore (op.run ctx () : unit -> unit -> Refcheck.verdict)) warmups;
-  (ctx, float_of_int (Measure.now_ns () - t0) /. 1e9)
+  ctx
 
-let warmup_ops ops =
+(* Warm-up operations come from a fixed seed, so set-up does the same
+   work whatever the run seed. *)
+let warmup_ops w =
   let seen = Hashtbl.create 16 in
   Array.fold_left
     (fun acc op ->
@@ -60,34 +61,109 @@ let warmup_ops ops =
         Hashtbl.add seen op.key ();
         op :: acc
       end)
-    [] ops
+    [] (w.gen_pass ~seed:0 ~pass:(-1))
   |> List.rev
 
-(* [run w ~seed ~seconds ~trace] — with [trace] the passes alternate
-   untraced/traced (an even count), so traced and untraced throughput
-   come from interleaved passes and host drift cancels out of the
-   overhead figure.  End-to-end figures use the untraced passes only;
-   throughput is taken per pass and reported as the median over passes,
-   so a burst of host contention moves it less than a window total. *)
+(* [setup_child w] is [main.exe --setup NAME]: a fresh process that sets
+   up once and prints [ready G], G being the nanoseconds it spent
+   generating its warm-up circuits. *)
+let setup_child w =
+  let t0 = Measure.now_ns () in
+  let warmups = warmup_ops w in
+  let gen_ns = Measure.now_ns () - t0 in
+  let ctx = setup w warmups in
+  Printf.printf "ready %d\n%!" gen_ns;
+  w.close ctx
+
+(* [cold_setup_s w] — seconds from starting [main.exe --setup] until it
+   is ready, less its input generation: set-up as a new process pays it,
+   first-use costs included. *)
+let cold_setup_s w =
+  let exe = Sys.executable_name in
+  let r, wr = Unix.pipe ~cloexec:true () in
+  let t0 = Measure.now_ns () in
+  let pid = Unix.create_process exe [| exe; "--setup"; w.name |] Unix.stdin wr Unix.stderr in
+  Unix.close wr;
+  let ic = Unix.in_channel_of_descr r in
+  let line = try input_line ic with End_of_file -> "" in
+  let t1 = Measure.now_ns () in
+  close_in ic;
+  match (snd (Unix.waitpid [] pid), Scanf.sscanf_opt line "ready %d%!" Fun.id) with
+  | Unix.WEXITED 0, Some gen_ns -> float_of_int (t1 - t0 - gen_ns) /. 1e9
+  | _ -> failwith ("set-up process of " ^ w.name ^ " failed")
+
+(* ------------------------------------------------------------------ *)
+(* Checks                                                              *)
+(* ------------------------------------------------------------------ *)
+
+(* [check_pass checks] runs one pass's checks in a forked child and
+   returns how many failed and the first error. *)
+let check_pass checks =
+  flush_all ();
+  let r, wr = Unix.pipe ~cloexec:true () in
+  match Unix.fork () with
+  | 0 ->
+      Unix.close r;
+      let failed = ref 0 and first = ref "" in
+      Array.iter
+        (fun (cls, check) ->
+          match try check () with e -> Error (Printexc.to_string e) with
+          | Ok () -> ()
+          | Error e ->
+              incr failed;
+              if !first = "" then
+                first := cls ^ ": " ^ String.map (function '\n' -> ' ' | c -> c) e)
+        checks;
+      let oc = Unix.out_channel_of_descr wr in
+      Printf.fprintf oc "%d\n%s\n" !failed !first;
+      close_out oc;
+      Unix._exit 0
+  | pid -> (
+      Unix.close wr;
+      let ic = Unix.in_channel_of_descr r in
+      let reply =
+        try
+          let failed = int_of_string (input_line ic) in
+          Some (failed, input_line ic)
+        with End_of_file | Failure _ -> None
+      in
+      close_in ic;
+      ignore (Unix.waitpid [] pid);
+      match reply with
+      | Some (failed, "") -> (failed, None)
+      | Some (failed, first) -> (failed, Some first)
+      | None -> failwith "check process ended without a reply")
+
+(* ------------------------------------------------------------------ *)
+(* The run                                                             *)
+(* ------------------------------------------------------------------ *)
+
+(* Set-up is timed in a fresh process once before the first pass and
+   again after every [setup_every]-th pass; spreading the rounds over the
+   run keeps a burst of host contention from setting the median. *)
+let setup_every = 4
+
+(* [run w ~seed ~seconds ~trace] — passes run until their own time adds
+   up to [seconds]; set-up rounds and checks come between passes and are
+   not counted.  With [trace] the passes alternate untraced/traced (an
+   even count), so traced and untraced throughput come from interleaved
+   passes and host drift cancels out of the overhead figure.  End-to-end
+   figures use the untraced passes only; throughput is taken per pass and
+   reported as the median over passes, so a burst of host contention
+   moves it less than a window total. *)
 let run w ~seed ~seconds ~trace =
-  (* Warm-up operations come from a fixed seed, so set-up does the same
-     work whatever the run seed. *)
-  let warmups = warmup_ops (w.gen_pass ~seed:0 ~pass:(-1)) in
-  let ctx, first_setup = setup w warmups in
   let setups = Measure.Samples.create () in
-  Measure.Samples.add setups first_setup;
+  Measure.Samples.add setups (cold_setup_s w);
+  let ctx = setup w (warmup_ops w) in
   let lat = Measure.Samples.create () in
-  let by_class = Hashtbl.create 32 in
-  let checks = ref [] in
   let cpu = ref 0.0 in
   let rates = Measure.Samples.create () and traced_rates = Measure.Samples.create () in
-  let attempted = ref 0 in
+  let attempted = ref 0 and failed = ref 0 and first_error = ref None in
   let seen = Hashtbl.create 4096 and repeats = ref 0 in
-  let start = Measure.now_ns () in
+  let measured_ns = ref 0 in
   let pass = ref 0 in
   let continue_ () =
-    float_of_int (Measure.now_ns () - start) /. 1e9 < seconds
-    || (trace && !pass mod 2 = 1)
+    float_of_int !measured_ns /. 1e9 < seconds || (trace && !pass mod 2 = 1)
   in
   while continue_ () do
     let ops = w.gen_pass ~seed ~pass:!pass in
@@ -102,23 +178,12 @@ let run w ~seed ~seconds ~trace =
         let fin = Measure.Trace.span "op" (fun () -> op.run ctx ()) in
         let dt = Measure.now_ns () - t0 in
         finishes.(i) <- fin;
-        if not traced then begin
-          let ms = float_of_int dt /. 1e6 in
-          Measure.Samples.add lat ms;
-          let s =
-            match Hashtbl.find_opt by_class op.cls with
-            | Some s -> s
-            | None ->
-                let s = Measure.Samples.create () in
-                Hashtbl.add by_class op.cls s;
-                s
-          in
-          Measure.Samples.add s ms
-        end)
+        if not traced then Measure.Samples.add lat (float_of_int dt /. 1e6))
       ops;
     let pass_ns = Measure.now_ns () - t_pass in
     let pass_cpu = Measure.cpu_s () -. c0 in
     Measure.Trace.enabled := false;
+    measured_ns := !measured_ns + pass_ns;
     let rate = float_of_int (Array.length ops) /. (float_of_int pass_ns /. 1e9) in
     if traced then begin
       Measure.Samples.add traced_rates rate;
@@ -130,46 +195,28 @@ let run w ~seed ~seconds ~trace =
     end;
     attempted := !attempted + Array.length ops;
     Array.iter
-      (fun op -> if Hashtbl.mem seen op.input then incr repeats else Hashtbl.add seen op.input ())
+      (fun op ->
+        let d = Digest.string op.input in
+        if Hashtbl.mem seen d then incr repeats else Hashtbl.add seen d ())
       ops;
-    log "pass %d: %.3f s" !pass (float_of_int pass_ns /. 1e9);
-    if (!pass + 1) mod setup_every = 0 then begin
-      let spare, s = setup w warmups in
-      w.close spare;
-      Measure.Samples.add setups s
-    end;
-    Array.iteri (fun i op -> checks := (op.cls, finishes.(i) ()) :: !checks) ops;
+    let f, e = check_pass (Array.mapi (fun i op -> (op.cls, finishes.(i) ())) ops) in
+    failed := !failed + f;
+    if !first_error = None then first_error := e;
+    if (!pass + 1) mod setup_every = 0 then Measure.Samples.add setups (cold_setup_s w);
     incr pass
   done;
   let peak_rss_mb = Measure.peak_rss_mb "self" in
-  let setup_s = Measure.median (Measure.Samples.to_array setups) in
-  log "setup median %.4f s over %d rounds" setup_s (Array.length (Measure.Samples.to_array setups));
   w.close ctx;
-  let failed = ref 0 and first_error = ref None in
-  List.iter
-    (fun (cls, check) ->
-      let t0 = Measure.now_ns () in
-      let v = check () in
-      log "check %s: %.1f ms" cls (float_of_int (Measure.now_ns () - t0) /. 1e6);
-      match v with
-      | Ok () -> ()
-      | Error e ->
-          incr failed;
-          if !first_error = None then first_error := Some (cls ^ ": " ^ e))
-    (List.rev !checks);
   {
     attempted = !attempted;
     failed = !failed;
     correct = !failed = 0;
     first_error = !first_error;
-    setup_s;
+    setup_s = Measure.median (Measure.Samples.to_array setups);
     latencies_ms = Measure.Samples.to_array lat;
     pass_rates = Measure.Samples.to_array rates;
     traced_pass_rates = Measure.Samples.to_array traced_rates;
     cpu_s = !cpu;
     peak_rss_mb;
-    class_ms =
-      Hashtbl.fold (fun k s acc -> (k, Measure.Samples.to_array s) :: acc) by_class []
-      |> List.sort compare;
     repeat_share = float_of_int !repeats /. float_of_int !attempted;
   }

@@ -2,8 +2,11 @@
 
      main.exe --workload NAME --seed N --seconds S --trace 0|1 [--qdt PATH]
      main.exe --selftest
+     main.exe --setup NAME
 
-   NAME is serve-small, sim-batch, design-flow, or all.  The last line of
+   NAME is serve-small, sim-batch, design-flow, or all.  [--setup] is
+   one timed set-up round of an in-process workload in a fresh process;
+   the run starts it itself.  The last line of
    standard output is one JSON object: correct, attempted, failed and the
    metrics (end-to-end with --trace 0, per-layer with --trace 1). *)
 
@@ -210,29 +213,16 @@ let serve_summary ~trace ~seed (o : Serve_small.outcome) =
     per_layer;
   }
 
-let print_classes (o : Inproc.outcome) =
-  List.iter
-    (fun (cls, ms) ->
-      let mean = Measure.mean ms in
-      let sd =
-        Float.sqrt (Measure.mean (Array.map (fun x -> (x -. mean) *. (x -. mean)) ms))
-      in
-      Printf.printf "  %-28s n=%5d mean=%8.3f sd=%8.3f p50=%8.3f p99=%8.3f ms\n" cls
-        (Array.length ms) mean sd (Measure.percentile ~p:50.0 ms) (Measure.percentile ~p:99.0 ms))
-    o.class_ms
-
-let run_workload ~qdt ~seed ~seconds ~trace ~verbose name =
+let run_workload ~qdt ~seed ~seconds ~trace name =
   (* per-layer figures of one workload must not include another's *)
   Measure.Trace.clear ();
   Layers.clear ();
   match name with
   | "sim-batch" ->
       let o = Inproc.run Sim_batch.workload ~seed ~seconds ~trace in
-      if verbose then print_classes o;
       inproc_summary ~name ~trace ~probe:Sim_batch.probe o ~seed
   | "design-flow" ->
       let o = Inproc.run Design_flow.workload ~seed ~seconds ~trace in
-      if verbose then print_classes o;
       inproc_summary ~name ~trace ~probe:Design_flow.probe o ~seed
   | "serve-small" ->
       let o = Serve_small.run ~qdt ~seed ~seconds ~trace in
@@ -248,14 +238,13 @@ let print_summary name s =
 let usage () =
   prerr_endline
     "usage: main.exe --workload serve-small|sim-batch|design-flow|all --seed N --seconds S \
-     --trace 0|1 [--qdt PATH] [--verbose]\n       main.exe --selftest";
+     --trace 0|1 [--qdt PATH]\n       main.exe --selftest\n       main.exe --setup sim-batch|design-flow";
   exit 2
 
 let () =
   let args = Array.to_list Sys.argv |> List.tl in
   let rec parse acc = function
     | [] -> acc
-    | "--verbose" :: rest -> parse (("verbose", "1") :: acc) rest
     | "--selftest" :: rest -> parse (("selftest", "1") :: acc) rest
     | k :: v :: rest when String.length k > 2 && String.sub k 0 2 = "--" ->
         parse ((String.sub k 2 (String.length k - 2), v) :: acc) rest
@@ -263,8 +252,9 @@ let () =
   in
   let opts = parse [] args in
   let get k = List.assoc_opt k opts in
-  Inproc.verbose := get "verbose" <> None;
   if get "selftest" <> None then exit (Selftest.run ())
+  else if get "setup" = Some Sim_batch.workload.name then Inproc.setup_child Sim_batch.workload
+  else if get "setup" = Some Design_flow.workload.name then Inproc.setup_child Design_flow.workload
   else begin
     let workload = Option.value ~default:"" (get "workload") in
     let int_opt k = match Option.bind (get k) int_of_string_opt with Some v -> v | None -> usage () in
@@ -280,8 +270,7 @@ let () =
       List.map
         (fun name ->
           let s =
-            run_workload ~qdt ~seed ~seconds:(float_of_int seconds) ~trace:(trace = 1)
-              ~verbose:(get "verbose" <> None) name
+            run_workload ~qdt ~seed ~seconds:(float_of_int seconds) ~trace:(trace = 1) name
           in
           print_summary name s;
           s)

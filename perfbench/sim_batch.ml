@@ -101,7 +101,7 @@ let probe () =
   Measure.Trace.enabled := false
 
 (* [submit_op] — the timed part parses the QASM text and submits the job;
-   [summarize] (untimed) keeps only what the deferred check needs, so a
+   [summarize] (untimed) keeps only what the check needs, so a
    dense state does not outlive its operation. *)
 let submit_op ~cls ~backend ~job c ~summarize =
   let qasm = Qasm.to_string c in
@@ -397,7 +397,8 @@ let slots = body @ body @ [ tail ]
 
 let workload : ctx Inproc.workload =
   {
-    Inproc.create = (fun () -> List.map (fun b -> (b, open_session b)) backends);
+    Inproc.name = "sim-batch";
+    create = (fun () -> List.map (fun b -> (b, open_session b)) backends);
     close = (fun ctx -> List.iter (fun (_, s) -> s.close ()) ctx);
     gen_pass =
       (fun ~seed ~pass ->

@@ -1,21 +1,23 @@
 #!/usr/bin/env python3
 """Steadiness check for the QDT benchmark.
 
-Runs one workload (or all) as sets of repeated runs of the same build,
-each run with its own seed, and prints each end-to-end metric's median,
-quartiles and spread per set.  With two sets it also says whether they
+Runs one workload (or all) as two sets of repeated runs of the same
+build, each run with its own seed, prints each end-to-end metric's
+median, quartiles and spread per set, and says whether the two sets
 agree within the bounds in BENCHMARK.json:
 
-  * every spread (q3 - q1) / median, except setup_s, is within its bound;
-  * the second set's median is not worse than the first's by more than
-    the bound, in the metric's own direction;
+  * every spread (q3 - q1) / median, setup_s included, is within its
+    bound;
+  * the two sets' medians differ by at most the bound, in either
+    direction: both sets run the same code, so a set that reads much
+    better is as far off as one that reads much worse;
   * the share of failed operations is exactly the same in both sets.
 
 Before the runs it executes the benchmark's self-test (nearest-rank
 percentiles on known samples; each output check rejects a corrupted
 result).  Run from the repository root:
 
-  python3 perfbench/steady.py --workload design-flow --runs 10 --sets 2
+  python3 perfbench/steady.py --workload design-flow --runs 10
 """
 
 import argparse
@@ -49,7 +51,6 @@ def main():
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--workload", default="all", choices=names + ["all"])
     ap.add_argument("--runs", type=int, default=10)
-    ap.add_argument("--sets", type=int, default=2, choices=[1, 2])
     ap.add_argument("--seconds", type=int, default=bench["run_seconds"])
     ap.add_argument("--first-seed", type=int, default=1)
     args = ap.parse_args()
@@ -61,7 +62,7 @@ def main():
     ok = True
     for workload in names if args.workload == "all" else [args.workload]:
         sets = []
-        for s in range(args.sets):
+        for s in range(2):
             runs = []
             for i in range(args.runs):
                 seed = args.first_seed + s * args.runs + i
@@ -83,25 +84,24 @@ def main():
                 spread = (q3 - q1) / med
                 per_set.append(med)
                 flag = ""
-                if name != "setup_s" and spread > m["bound"]:
+                if spread > m["bound"]:
                     flag = "  SPREAD > BOUND"
                     ok = False
                 print(f"{name:<16} {s + 1:>3} {med:>12.5g} {q1:>12.5g} {q3:>12.5g} "
                       f"{spread:>8.4f} {m['bound']:>6}{flag}")
             medians.append((name, m, per_set))
-        if args.sets == 2:
-            for name, m, (a, b) in medians:
-                worse = (b - a) / a if m["better"] == "lower" else (a - b) / a
-                verdict = "ok" if worse <= m["bound"] else "WORSE THAN BOUND"
-                ok &= worse <= m["bound"]
-                print(f"  {name:<16} second vs first: {100 * worse:+.2f}% worse "
-                      f"(bound {100 * m['bound']:.0f}%) {verdict}")
-            shares = [Fraction(sum(r["failed"] for r in runs), sum(r["attempted"] for r in runs))
-                      for runs in sets]
-            same = shares[0] == shares[1]
-            ok &= same
-            print(f"  failed share: {shares[0]} vs {shares[1]} "
-                  f"{'identical' if same else 'DIFFERENT'}")
+        for name, m, (a, b) in medians:
+            change = (b - a) / a
+            agree = abs(change) <= m["bound"]
+            ok &= agree
+            print(f"  {name:<16} second vs first: {100 * change:+.2f}% "
+                  f"(bound {100 * m['bound']:.0f}%) {'ok' if agree else 'OUTSIDE BOUND'}")
+        shares = [Fraction(sum(r["failed"] for r in runs), sum(r["attempted"] for r in runs))
+                  for runs in sets]
+        same = shares[0] == shares[1]
+        ok &= same
+        print(f"  failed share: {shares[0]} vs {shares[1]} "
+              f"{'identical' if same else 'DIFFERENT'}")
     print("\nsteady" if ok else "\nNOT STEADY")
     return 0 if ok else 1
 
