@@ -191,6 +191,15 @@ let peephole ~cls ~coupling ?(mutate = false) make ~router st =
   flow_op ~cls ~optimizer:Peephole ~checker:Dd_alternating ~router ~coupling:(coupling c)
     ~mutate st c
 
+(* No slot checks a compiled circuit of many arbitrary angles against its
+   original with dd_alternating when the two are equivalent: on such
+   pairs (QAOA on 6 and 7 qubits, random depth-3 circuits on 5) it
+   answers "not equivalent" for about one operation in a few thousand,
+   on some seeds only, although a dense comparison shows the pair
+   equivalent.  A failure that depends on the seed cannot be a fixed
+   share of every run, so those classes are left out until the checker
+   is mended.  Random circuits stay as a mutant slot, where the answer
+   is "not equivalent". *)
 let body : (router:router -> Random.State.t -> unit Inproc.op) list =
   let line c = Coupling.line (Circuit.num_qubits c) in
   let ring c = Coupling.ring (Circuit.num_qubits c) in
@@ -204,12 +213,6 @@ let body : (router:router -> Random.State.t -> unit Inproc.op) list =
     peephole ~cls:"adder2.grid" ~coupling:grid (fun st -> with_basis_input st (G.cuccaro_adder 2));
     peephole ~cls:"adder3.qx5" ~coupling:qx5 ~mutate:true (fun st ->
         with_basis_input st (G.cuccaro_adder 3));
-    peephole ~cls:"qaoa6.ring" ~coupling:ring (fun st ->
-        G.qaoa_maxcut ~seed:(seed_of st) ~layers:1 6);
-    peephole ~cls:"qaoa7.qx5" ~coupling:qx5 (fun st ->
-        G.qaoa_maxcut ~seed:(seed_of st) ~layers:1 7);
-    peephole ~cls:"random5.qx5" ~coupling:qx5 (fun st ->
-        G.random_circuit ~seed:(seed_of st) ~depth:3 5);
     peephole ~cls:"random6.grid" ~coupling:grid ~mutate:true (fun st ->
         G.random_circuit ~seed:(seed_of st) ~depth:2 6);
     (fun ~router st ->
@@ -231,8 +234,8 @@ let body : (router:router -> Random.State.t -> unit Inproc.op) list =
   ]
 
 (* The tail class costs well above every body class (QFT on 8 qubits
-   round a ring); at about 2% of a pass it puts latency_p99_ms near the
-   middle of one homogeneous class instead of on the tails of several. *)
+   round a ring); at 1/34 of a pass it puts latency_p99_ms inside one
+   homogeneous class instead of on the tails of several. *)
 let tail ~router st =
   peephole ~cls:"qft8.ring" ~coupling:(fun c -> Coupling.ring (Circuit.num_qubits c))
     (fun st -> with_basis_input st (G.qft 8))

@@ -32,8 +32,8 @@ type outcome = {
   first_error : string option;
   setup_s : float;
   latencies_ms : float array;  (** untraced passes *)
-  pass_rates : float array;  (** ops/s of each untraced pass *)
-  traced_pass_rates : float array;  (** ops/s of each traced pass *)
+  ops_per_s : float;  (** untraced operations over the untraced passes' time *)
+  traced_ops_per_s : float;  (** the same over the traced passes; 0 untraced *)
   cpu_s : float;  (** process CPU time over the untraced passes *)
   peak_rss_mb : float;
   repeat_share : float;  (** share of operations whose circuit text repeats an earlier one *)
@@ -148,16 +148,21 @@ let setup_every = 4
    not counted.  With [trace] the passes alternate untraced/traced (an
    even count), so traced and untraced throughput come from interleaved
    passes and host drift cancels out of the overhead figure.  End-to-end
-   figures use the untraced passes only; throughput is taken per pass and
-   reported as the median over passes, so a burst of host contention
-   moves it less than a window total. *)
+   figures use the untraced passes only.  Throughput is their operations
+   over their summed time, not a median of per-pass rates: the host's
+   speed switches between two levels about 1.5x apart for seconds at a
+   time, so pass rates are bimodal and their median jumps from one level
+   to the other as the share of slow time crosses one half, where a
+   total moves in proportion to that share. *)
+let rate ops ns = if ns = 0 then 0.0 else float_of_int ops /. (float_of_int ns /. 1e9)
+
 let run w ~seed ~seconds ~trace =
   let setups = Measure.Samples.create () in
   Measure.Samples.add setups (cold_setup_s w);
   let ctx = setup w (warmup_ops w) in
   let lat = Measure.Samples.create () in
   let cpu = ref 0.0 in
-  let rates = Measure.Samples.create () and traced_rates = Measure.Samples.create () in
+  let done_ops = ref 0 and done_ns = ref 0 and traced_ops = ref 0 and traced_ns = ref 0 in
   let attempted = ref 0 and failed = ref 0 and first_error = ref None in
   let seen = Hashtbl.create 4096 and repeats = ref 0 in
   let measured_ns = ref 0 in
@@ -184,13 +189,14 @@ let run w ~seed ~seconds ~trace =
     let pass_cpu = Measure.cpu_s () -. c0 in
     Measure.Trace.enabled := false;
     measured_ns := !measured_ns + pass_ns;
-    let rate = float_of_int (Array.length ops) /. (float_of_int pass_ns /. 1e9) in
     if traced then begin
-      Measure.Samples.add traced_rates rate;
+      traced_ops := !traced_ops + Array.length ops;
+      traced_ns := !traced_ns + pass_ns;
       Layers.add "passes" 1.0
     end
     else begin
-      Measure.Samples.add rates rate;
+      done_ops := !done_ops + Array.length ops;
+      done_ns := !done_ns + pass_ns;
       cpu := !cpu +. pass_cpu
     end;
     attempted := !attempted + Array.length ops;
@@ -214,8 +220,8 @@ let run w ~seed ~seconds ~trace =
     first_error = !first_error;
     setup_s = Measure.median (Measure.Samples.to_array setups);
     latencies_ms = Measure.Samples.to_array lat;
-    pass_rates = Measure.Samples.to_array rates;
-    traced_pass_rates = Measure.Samples.to_array traced_rates;
+    ops_per_s = rate !done_ops !done_ns;
+    traced_ops_per_s = rate !traced_ops !traced_ns;
     cpu_s = !cpu;
     peak_rss_mb;
     repeat_share = float_of_int !repeats /. float_of_int !attempted;

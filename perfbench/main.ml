@@ -138,10 +138,9 @@ let inproc_summary ~name ~trace ~probe (o : Inproc.outcome) ~seed =
     if not trace then []
     else begin
       probe ();
-      let base = Measure.median o.pass_rates in
-      let traced = Measure.median o.traced_pass_rates in
+      let base = o.ops_per_s and traced = o.traced_ops_per_s in
       let overhead = 100.0 *. (base -. traced) /. base in
-      Printf.printf "traced run of %s: median pass rate %.2f ops/s traced, %.2f ops/s untraced\n"
+      Printf.printf "traced run of %s: %.2f ops/s traced, %.2f ops/s untraced\n"
         name traced base;
       Printf.printf "obs.trace_overhead_pct = %.3f%% of the untraced %.2f ops/s\n" overhead base;
       Measure.Trace.print_table ();
@@ -156,7 +155,7 @@ let inproc_summary ~name ~trace ~probe (o : Inproc.outcome) ~seed =
     attempted = o.attempted;
     failed = o.failed;
     end_to_end =
-      end_to_end ~setup_s:o.setup_s ~ops_per_s:(Measure.median o.pass_rates)
+      end_to_end ~setup_s:o.setup_s ~ops_per_s:o.ops_per_s
         ~p50_ms:(Measure.percentile ~p:50.0 o.latencies_ms)
         ~p99_ms:(Measure.percentile ~p:99.0 o.latencies_ms)
         ~cpu_ms_per_op:(1000.0 *. o.cpu_s /. float_of_int n_untraced)

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Build the benchmark and the qdt CLI from source, then run the benchmark.
 # Run from the repository root:
-#   bash perfbench/run.sh --workload sim-batch --seed 1 --seconds 20 --trace 0
+#   bash perfbench/run.sh --workload sim-batch --seed 1 --seconds 25 --trace 0
 # The last line of standard output is the JSON result; build output goes
 # to standard error.
 set -euo pipefail

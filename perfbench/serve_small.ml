@@ -380,12 +380,16 @@ let check_sample (requests : request array) refs (s : sample) =
 (* ------------------------------------------------------------------ *)
 
 (* The measured window is [segments] segments of whole passes, about
-   2.5 s each at 20 s.  Steal bursts on the shared 2-vCPU host last a
-   few seconds and stall whichever requests are in flight, so
-   throughput and the 99th percentile are taken per segment (each p99
-   with 25+ samples beyond it) and reported as the median over
-   segments.  Set-up rounds: a few before the window and a few between
-   each pair of segments (the measured server idles meanwhile). *)
+   3 s each at 25 s.  Steal bursts on the shared 2-vCPU host last a
+   few seconds and stall whichever requests are in flight, so the 99th
+   percentile is taken per segment (each with 25+ samples beyond it)
+   and reported as the median over segments.  Throughput is the
+   untraced segments' requests over their summed time: the host's speed
+   switches between two levels for seconds at a time, and a median of
+   per-segment rates jumps between them where a total moves in
+   proportion to the time spent at each.  Set-up rounds: a few before
+   the window and a few between each pair of segments (the measured
+   server idles meanwhile). *)
 let setup_rounds_before = 3
 let setup_rounds_between = 2
 let segments = 8
@@ -495,7 +499,7 @@ type outcome = {
   correct : bool;
   first_error : string option;
   setup_s : float;
-  ops_per_s : float;  (** median over untraced segments *)
+  ops_per_s : float;  (** over the untraced segments' summed time *)
   p50_ms : float;  (** over all untraced samples *)
   p99_ms : float;  (** per untraced segment, median over segments *)
   cpu_ms_per_op : float;  (** server CPU over the untraced segments *)
@@ -575,8 +579,7 @@ let run ~qdt ~seed ~seconds ~trace =
       let overhead_pct, serve =
         if not trace then (0.0, [])
         else begin
-          let rate l = Measure.median (Array.of_list (List.map (fun r -> ops_per_s [ r ]) l)) in
-          let base = rate untraced and traced = rate (pick true) in
+          let base = ops_per_s untraced and traced = ops_per_s (pick true) in
           let lat = Array.of_list (List.map (fun ((s : sample), _) -> float_of_int s.latency_ns /. 1e6) traced_checked) in
           let qw = Array.of_list (List.map (fun (_, c) -> c.queue_wait_ns /. 1e6) traced_checked) in
           let rn = Array.of_list (List.map (fun (_, c) -> c.run_ns /. 1e6) traced_checked) in
@@ -605,7 +608,7 @@ let run ~qdt ~seed ~seconds ~trace =
         correct = !unexpected = 0;
         first_error = !first_error;
         setup_s;
-        ops_per_s = seg_median (fun r -> ops_per_s [ r ]);
+        ops_per_s = ops_per_s untraced;
         p50_ms = Measure.median (lat_ms untraced_samples);
         p99_ms = seg_median (fun (_, samples, _) -> Measure.percentile ~p:99.0 (lat_ms samples));
         cpu_ms_per_op = 1000.0 *. server_cpu_s /. float_of_int (List.length untraced_samples);
